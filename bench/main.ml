@@ -11,7 +11,10 @@
      S:IV-D     happens-before engine comparison
      Table IV   pipeline stage breakdown for the three slowest tests
 
-   followed by bechamel micro-benchmarks of the pipeline stages. Absolute
+   plus the Fig. 4 scale sweep, the tracing overhead of S:IV-A and the
+   conflict-sweep scaling of S:IV-B. The repo's performance benchmark is
+   perfbench/ (see BENCHMARK.json); this harness reproduces the paper's
+   artifacts rather than tracking this implementation's speed. Absolute
    numbers differ from the paper (different machine, scaled-down
    workloads); the shapes — who is racy where, which stage dominates which
    test, who wins by how much — are the reproduction targets, recorded in
@@ -475,148 +478,6 @@ let conflict_scaling () =
     [ 200; 1000; 4000 ];
   print_string (T.render t)
 
-(* ------------------------------------------------------------------ *)
-(* Multicore verification (extension: the paper verifies sequentially)   *)
-(* ------------------------------------------------------------------ *)
-
-let parallel_verification () =
-  section
-    "Multicore verification (extension; the paper verifies its 780M pairs\n\
-     sequentially). Same races, wall time vs domain count.";
-  match Reg.find "pmulti_dset" with
-  | None -> ()
-  | Some w ->
-    let records = H.run ~scale:10 w in
-    let d = V.Estore.of_records ~nranks:w.H.nranks records in
-    let m = V.Match_mpi.run d in
-    let g = V.Hb_graph.build d m in
-    let sidx = V.Msc.build_index d in
-    let groups = V.Conflict.detect d in
-    let t =
-      T.create ~headers:[ "domains"; "races"; "verify (ms)" ]
-    in
-    T.set_aligns t [ T.Right; T.Right; T.Right ];
-    List.iter
-      (fun domains ->
-        let dt, (races, _) =
-          Vio_util.Stats.timeit ~repeats:1 (fun () ->
-              V.Verify.run_parallel ~domains V.Model.mpi_io g sidx d groups)
-        in
-        T.add_row t
-          [
-            string_of_int domains;
-            string_of_int (List.length races);
-            Printf.sprintf "%.2f" (dt *. 1000.);
-          ])
-      [ 1; 2; 4 ];
-    print_string (T.render t);
-    Printf.printf
-      "(this host exposes %d core(s) — Domain.recommended_domain_count = %d;\n\
-       with a single core, extra domains only add scheduling overhead. The\n\
-       table validates correctness — identical race sets — and the default\n\
-       domain count adapts to the host.)\n"
-      (Domain.recommended_domain_count ())
-      (Domain.recommended_domain_count ())
-
-(* ------------------------------------------------------------------ *)
-(* Batch engine: the corpus through sequential vs parallel pipelines     *)
-(* ------------------------------------------------------------------ *)
-
-let batch_corpus () =
-  section
-    "Batch verification engine (extension): the full 91-workload corpus\n\
-     through the sequential per-model pipeline vs Batch.run at 1/2/4\n\
-     domains (shared trace artifacts per job). Writes BENCH_pr5.json.";
-  let r = Workloads.Bench_report.run ~tag:"pr4" ~repeats:3 () in
-  print_string (Workloads.Bench_report.summary r);
-  Workloads.Bench_report.write ~path:"BENCH_pr5.json" r;
-  print_endline "wrote BENCH_pr5.json (schema: EXPERIMENTS.md \"Perf trajectory\")"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                             *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_benches () =
-  section "Bechamel micro-benchmarks (ns per run, OLS estimate)";
-  let open Bechamel in
-  let w = Option.get (Reg.find "testphdf5") in
-  let records = H.run ~scale:2 w in
-  let nranks = w.H.nranks in
-  let decoded = V.Estore.of_records ~nranks records in
-  let matching = V.Match_mpi.run decoded in
-  let graph = V.Hb_graph.build decoded matching in
-  let groups = V.Conflict.detect decoded in
-  let sidx = V.Msc.build_index decoded in
-  let encoded = Recorder.Codec.encode ~nranks records in
-  let test_of name f = Test.make ~name (Staged.stage f) in
-  let engine_test eng =
-    let reach = V.Reach.create eng graph in
-    test_of
-      ("verify-" ^ V.Reach.engine_name eng)
-      (fun () -> ignore (V.Verify.run V.Model.mpi_io reach sidx decoded groups))
-  in
-  let tests =
-    Test.make_grouped ~name:"pipeline"
-      ([
-         test_of "decode-trace" (fun () ->
-             ignore (V.Estore.of_records ~nranks records));
-         test_of "detect-conflicts" (fun () ->
-             ignore (V.Conflict.detect decoded));
-         test_of "match-mpi" (fun () -> ignore (V.Match_mpi.run decoded));
-         test_of "build-hb-graph" (fun () ->
-             ignore (V.Hb_graph.build decoded matching));
-         test_of "vector-clocks" (fun () ->
-             ignore (V.Reach.create V.Reach.Vector_clock graph));
-         test_of "codec-encode" (fun () ->
-             ignore (Recorder.Codec.encode ~nranks records));
-         test_of "codec-decode" (fun () ->
-             ignore (Recorder.Codec.decode encoded));
-         (* Lenient decoding on a pristine trace measures the overhead of
-            the mode machinery alone; on a faulted trace it also pays for
-            diagnostic accumulation and record salvage. *)
-         test_of "codec-decode-lenient" (fun () ->
-             ignore
-               (Recorder.Codec.decode_ext ~mode:Recorder.Diagnostic.Lenient
-                  encoded));
-         (let faulted, _ =
-            Recorder.Inject.apply
-              [
-                { Recorder.Inject.kind = Recorder.Inject.Drop_record;
-                  rate = 0.05 };
-                { Recorder.Inject.kind = Recorder.Inject.Corrupt_arg;
-                  rate = 0.05 };
-              ]
-              ~seed:42 encoded
-          in
-          test_of "codec-decode-lenient-faulted" (fun () ->
-              ignore
-                (Recorder.Codec.decode_ext ~mode:Recorder.Diagnostic.Lenient
-                   faulted)));
-       ]
-      @ List.map engine_test V.Reach.all_engines)
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:true () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  let t = T.create ~headers:[ "benchmark"; "ns/run" ] in
-  T.set_aligns t [ T.Left; T.Right ];
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let est =
-        match Analyze.OLS.estimates ols_result with
-        | Some [ e ] -> Printf.sprintf "%.0f" e
-        | _ -> "n/a"
-      in
-      rows := (name, est) :: !rows)
-    results;
-  List.iter (fun (n, e) -> T.add_row t [ n; e ]) (List.sort compare !rows);
-  print_string (T.render t)
-
 let () =
   let rows = evaluate_all () in
   table_i ();
@@ -629,7 +490,4 @@ let () =
   scale_sweep ();
   tracing_overhead ();
   conflict_scaling ();
-  parallel_verification ();
-  batch_corpus ();
-  bechamel_benches ();
   print_newline ()

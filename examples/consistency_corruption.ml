@@ -80,7 +80,7 @@ let () =
                 (Printf.sprintf "%s:%s" m.V.Model.name
                    (if V.Pipeline.is_properly_synchronized o then "safe"
                     else "racy")))
-          (V.Pipeline.verify_all_models ~nranks:2 records)
+          (V.Pipeline.verify_shared ~nranks:2 records)
       in
       Printf.printf "%-22s | %-10s %-10s %-10s | %s\n" variant.label
         (List.nth observed 0) (List.nth observed 1) (List.nth observed 2)

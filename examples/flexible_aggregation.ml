@@ -40,7 +40,7 @@ let () =
       Printf.printf "  %-8s : %s\n" m.V.Model.name
         (if o.V.Pipeline.races = [] then "properly synchronized"
          else Printf.sprintf "%d data race(s)" o.V.Pipeline.race_count))
-    (V.Pipeline.verify_all_models ~nranks:w.Workloads.Harness.nranks records);
+    (V.Pipeline.verify_shared ~nranks:w.Workloads.Harness.nranks records);
 
   print_endline "\n== One reported race, with the call chains ==";
   let o =

@@ -62,7 +62,7 @@ let () =
         (if V.Pipeline.is_properly_synchronized o then
            "properly synchronized"
          else Printf.sprintf "%d data race(s)" o.V.Pipeline.race_count))
-    (V.Pipeline.verify_all_models ~nranks records);
+    (V.Pipeline.verify_shared ~nranks records);
   print_endline
     "\n(Fig. 2's verdict: fine under POSIX and Commit — the fsync is the\n\
      commit — but racy under Session, which demands a close-to-open pair,\n\

@@ -44,7 +44,7 @@ let verdicts records =
       Printf.sprintf "%s=%s" m.V.Model.name
         (if o.V.Pipeline.races = [] then "ok"
          else string_of_int o.V.Pipeline.race_count ^ " races"))
-    (V.Pipeline.verify_all_models ~nranks:2 records)
+    (V.Pipeline.verify_shared ~nranks:2 records)
   |> String.concat "  "
 
 let () =

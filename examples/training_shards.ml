@@ -106,7 +106,7 @@ let () =
           Printf.printf "  %-8s : %s\n" m.V.Model.name
             (if V.Pipeline.is_properly_synchronized o then "ok"
              else Printf.sprintf "%d race(s)" o.V.Pipeline.race_count))
-        (V.Pipeline.verify_all_models ~nranks records);
+        (V.Pipeline.verify_shared ~nranks records);
       (* Show the grouped diagnosis for the sloppy variant. *)
       if not proper then begin
         let o =

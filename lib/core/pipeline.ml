@@ -336,32 +336,12 @@ let verify ?engine ?shard_domains ?(pruning = true) ?(mode = D.Strict)
   in
   verify_prepared ~pruning ~model p
 
-let verify_all_models ?engine ?(models = Model.builtin) ~nranks records =
-  List.map (fun model -> (model, verify ?engine ~model ~nranks records)) models
-
 let verify_shared ?engine ?shard_domains ?(pruning = true) ?(mode = D.Strict)
     ?(upstream = []) ?partial ?budget ?sweep_domains ?(models = Model.builtin)
     ~nranks records =
   let p =
     prepare ?engine ?shard_domains ~mode ~upstream ?partial ?budget
       ?sweep_domains ~nranks records
-  in
-  List.map (fun model -> (model, verify_prepared ~pruning ~model p)) models
-
-let verify_file ?engine ?shard_domains ?(pruning = true) ?(mode = D.Strict)
-    ?(upstream = []) ?partial ?budget ?sweep_domains ~model path =
-  let p =
-    prepare_file ?engine ?shard_domains ~mode ~upstream ?partial ?budget
-      ?sweep_domains path
-  in
-  verify_prepared ~pruning ~model p
-
-let verify_shared_file ?engine ?shard_domains ?(pruning = true)
-    ?(mode = D.Strict) ?(upstream = []) ?partial ?budget ?sweep_domains
-    ?(models = Model.builtin) path =
-  let p =
-    prepare_file ?engine ?shard_domains ~mode ~upstream ?partial ?budget
-      ?sweep_domains path
   in
   List.map (fun model -> (model, verify_prepared ~pruning ~model p)) models
 

@@ -26,8 +26,7 @@
 
     Every stage reports wall time and headline counters to
     {!Vio_util.Metrics} (keys [pipeline/stage/*], [conflict/*], [graph/*],
-    [reach/*], [verify/*]) — the raw material of the [BENCH_*.json]
-    perf-trajectory files. *)
+    [reach/*], [verify/*]). *)
 
 type timings = {
   t_read : float;  (** decode records into operations *)
@@ -133,7 +132,7 @@ val prepare :
     [shard_domains], when given, builds the happens-before graph through
     the shared-nothing sharded assembly ({!Hb_graph.build_sharded} across
     that many domains, merged by {!Hb_graph.sharded_graph}) instead of
-    the monolithic build — and, on the file entry points, fans the binary
+    the monolithic build — and, in {!prepare_file}, fans the binary
     v2 segment decode out across the same domain count
     ({!Estore.of_file}). Structurally identical output, so verdicts are
     unchanged for every value (the golden-digest gate locks this). *)
@@ -193,18 +192,6 @@ val verify :
     earlier stage (typically a lenient {!Recorder.Codec.decode_ext}); they
     join the degradation summary and taint the ranks they name. *)
 
-val verify_all_models :
-  ?engine:Reach.engine ->
-  ?models:Model.t list ->
-  nranks:int ->
-  Recorder.Record.t list ->
-  (Model.t * outcome) list
-(** One {e independent} pass per model (default {!Model.builtin}),
-    sharing nothing — each
-    timed end-to-end, re-deriving the trace artifacts every time. This is
-    the sequential baseline the bench compares the batch engine against;
-    prefer {!verify_shared} when the timings need not be independent. *)
-
 val verify_shared :
   ?engine:Reach.engine ->
   ?shard_domains:int ->
@@ -220,37 +207,7 @@ val verify_shared :
   (Model.t * outcome) list
 (** One {!prepare} shared by every model in [models] (default
     {!Model.builtin}, in the paper's order). Verdicts are identical to
-    {!verify_all_models}; only the cost differs. *)
-
-val verify_file :
-  ?engine:Reach.engine ->
-  ?shard_domains:int ->
-  ?pruning:bool ->
-  ?mode:Recorder.Diagnostic.mode ->
-  ?upstream:Recorder.Diagnostic.t list ->
-  ?partial:bool ->
-  ?budget:Vio_util.Budget.t ->
-  ?sweep_domains:int ->
-  model:Model.t ->
-  string ->
-  outcome
-(** {!verify} over a trace file via the fused {!prepare_file} path. *)
-
-val verify_shared_file :
-  ?engine:Reach.engine ->
-  ?shard_domains:int ->
-  ?pruning:bool ->
-  ?mode:Recorder.Diagnostic.mode ->
-  ?upstream:Recorder.Diagnostic.t list ->
-  ?partial:bool ->
-  ?budget:Vio_util.Budget.t ->
-  ?sweep_domains:int ->
-  ?models:Model.t list ->
-  string ->
-  (Model.t * outcome) list
-(** {!verify_shared} over a trace file via the fused {!prepare_file}
-    path: decode, conflicts, graph and engine run once, streamed from
-    disk, then every model verifies against the shared artifacts. *)
+    one {!verify} per model; only the cost differs. *)
 
 val is_properly_synchronized : outcome -> bool
 (** No races and no unmatched MPI calls (Def. 8). *)

@@ -70,7 +70,7 @@ val concurrent : t -> int -> int -> bool
 
 val query_count : t -> int
 (** Number of [reaches] queries served (for the pruning ablation and the
-    bench's per-engine throughput figures). *)
+    per-engine throughput figures). *)
 
 val memo_stats : t -> int * int
 (** [(hits, misses)] of the {!Bfs_memo} engine's per-source reachable-set

@@ -38,7 +38,9 @@ let subjects ~models ~domains ~nranks records : (string * verdict list) list =
       ( "engine:" ^ V.Reach.engine_name e,
         of_outcomes (P.verify_shared ~engine:e ~models ~nranks records) ))
     V.Reach.all_engines
-  @ [ ("sequential", of_outcomes (P.verify_all_models ~models ~nranks records));
+  @ [ ( "sequential",
+        of_outcomes
+          (List.map (fun m -> (m, P.verify ~model:m ~nranks records)) models) );
       ("shared", of_outcomes (P.verify_shared ~models ~nranks records)) ]
   @ List.map
       (fun k ->

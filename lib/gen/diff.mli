@@ -9,7 +9,7 @@
 
     - [engine:<name>] — {!Verifyio.Pipeline.verify_shared} pinned to
       each of the four {!Verifyio.Reach} engines;
-    - [sequential] — {!Verifyio.Pipeline.verify_all_models}, the
+    - [sequential] — one {!Verifyio.Pipeline.verify} per model, the
       nothing-shared per-model baseline;
     - [shared] — {!Verifyio.Pipeline.verify_shared} with dynamic engine
       selection;

@@ -20,7 +20,6 @@ type report = {
   timed_out : int;
   quarantined : int;
   kills_delivered : int;
-  replay_walls : float list;
   warm_cached : int;
   warm_total : int;
   violations : string list;
@@ -275,7 +274,6 @@ let run cfg =
     timed_out = !timed_out;
     quarantined = !quarantined;
     kills_delivered = !kills_delivered;
-    replay_walls = [ replay_wall ];
     warm_cached = !warm_cached;
     warm_total = List.length warm_specs;
     violations = List.rev !violations;

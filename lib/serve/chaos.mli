@@ -41,10 +41,6 @@ type report = {
   timed_out : int;
   quarantined : int;
   kills_delivered : int;  (** children that were actually SIGKILLed *)
-  replay_walls : float list;
-      (** wall-clock seconds of each child run that ran to completion
-          after the kills (journal replay included) — the bench's
-          recovery-latency sample *)
   warm_cached : int;  (** warm resubmissions answered from cache *)
   warm_total : int;
   violations : string list;  (** empty = the contract held *)

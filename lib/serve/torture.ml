@@ -105,8 +105,8 @@ let codec_path ~mode path () =
 (* Parallel segment decode + sharded graph assembly — the paths that own
    the estore.segment and graph.shard sites. *)
 let sharded_path path () =
-  shared_digest
-    (Verifyio.Pipeline.verify_shared_file ~shard_domains:3 ~models:[ m0 ] path)
+  let p = Verifyio.Pipeline.prepare_file ~shard_domains:3 path in
+  shared_digest [ (m0, Verifyio.Pipeline.verify_prepared ~model:m0 p) ]
 
 let batch_jobs ~bin ~txt =
   List.init 3 (fun i ->

@@ -135,7 +135,9 @@ let () =
       let verdicts =
         List.map
           (fun (m, o) -> (m, race_set o))
-          (V.Pipeline.verify_all_models ~models ~nranks records)
+          (List.map
+             (fun m -> (m, V.Pipeline.verify ~model:m ~nranks records))
+             models)
       in
       let races m =
         try List.assq m verdicts with Not_found -> failwith "missing verdict"

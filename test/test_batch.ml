@@ -31,14 +31,18 @@ let outcomes_sig outcomes =
     (fun ((m : V.Model.t), o) -> (m.V.Model.name, outcome_sig o))
     outcomes
 
-(* Sequential reference verdicts: the legacy per-model pipeline, which
-   shares nothing between models. *)
+(* Sequential reference verdicts: one independent [Pipeline.verify] per
+   model, sharing nothing between models. *)
 let sequential_sigs =
   lazy
     (List.map
        (fun ((w : H.t), records) ->
          ( w.H.name,
-           outcomes_sig (V.Pipeline.verify_all_models ~nranks:w.H.nranks records) ))
+           outcomes_sig
+             (List.map
+                (fun m ->
+                  (m, V.Pipeline.verify ~model:m ~nranks:w.H.nranks records))
+                V.Model.builtin) ))
        (Lazy.force traces))
 
 let jobs_of selected =
@@ -75,6 +79,47 @@ let prop_batch_matches_sequential =
       in
       let got = List.map snd (batch_sigs ~domains selected) in
       got = expected)
+
+(* Shared preparation must not depend on model order. One [prepared]
+   carries a memoizing happens-before engine across every model verified
+   from it, so a model verified after others must still get exactly the
+   verdict a fresh [prepare] gives it: races with confidence, unmatched
+   count and [ps_checks]. Sources are corpus traces and viogen Extended
+   programs; the order is a random permutation of all registered
+   models. *)
+let prop_shared_prep_order_independent =
+  QCheck2.Test.make ~count:40
+    ~name:"verify_prepared over one prepare = fresh prepare per model, any \
+           model order"
+    QCheck2.Gen.(
+      triple bool (int_bound 10_000) (shuffle_l (V.Model.all ())))
+    (fun (from_corpus, n, models) ->
+      let nranks, records =
+        if from_corpus then
+          let all = Lazy.force traces in
+          let (w : H.t), records = List.nth all (n mod List.length all) in
+          (w.H.nranks, records)
+        else
+          let p =
+            Viogen.Workload.generate ~profile:Viogen.Workload.Extended
+              ~seed:(60_000 + n) ()
+          in
+          (p.Viogen.Workload.nranks, Viogen.Workload.run p)
+      in
+      let verdict (o : V.Pipeline.outcome) =
+        ( List.map
+            (fun (r : V.Verify.race) ->
+              (r.V.Verify.rx, r.V.Verify.ry, r.V.Verify.confidence))
+            o.V.Pipeline.races,
+          List.length o.V.Pipeline.unmatched,
+          o.V.Pipeline.stats.V.Verify.ps_checks )
+      in
+      let p = V.Pipeline.prepare ~nranks records in
+      List.for_all
+        (fun model ->
+          verdict (V.Pipeline.verify_prepared ~model p)
+          = verdict (V.Pipeline.verify ~model ~nranks records))
+        models)
 
 (* Two batch runs at different domain counts are equal to each other
    (determinism — scheduling decides where a job runs, never its result). *)
@@ -177,6 +222,7 @@ let () =
             test_full_corpus_all_domain_counts;
           QCheck_alcotest.to_alcotest prop_batch_matches_sequential;
           QCheck_alcotest.to_alcotest prop_batch_deterministic;
+          QCheck_alcotest.to_alcotest prop_shared_prep_order_independent;
         ] );
       ( "mechanics",
         [

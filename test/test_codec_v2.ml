@@ -235,6 +235,39 @@ let prop_cross_format_estore =
       in
       estores_equal (via Codec.Text) (via Codec.Binary))
 
+(* The paper's 91 library executions, each written in both wire formats
+   and verified through the fused file path, give identical verdicts
+   under every builtin model. *)
+let test_corpus_verdicts_across_formats () =
+  let module P = Verifyio.Pipeline in
+  let verdicts path =
+    let p = P.prepare_file path in
+    List.map
+      (fun model ->
+        let o = P.verify_prepared ~model p in
+        ( List.map
+            (fun (r : Verifyio.Verify.race) ->
+              (r.Verifyio.Verify.rx, r.Verifyio.Verify.ry,
+               r.Verifyio.Verify.confidence))
+            o.P.races,
+          List.length o.P.unmatched,
+          o.P.conflicts ))
+      Verifyio.Model.builtin
+  in
+  List.iter
+    (fun (w : Workloads.Harness.t) ->
+      let records = Workloads.Harness.run w in
+      let via fmt =
+        with_temp_file
+          (Codec.encode_format fmt ~nranks:w.Workloads.Harness.nranks records)
+          verdicts
+      in
+      check_bool
+        (w.Workloads.Harness.name ^ ": text verdicts = binary verdicts")
+        true
+        (via Codec.Text = via Codec.Binary))
+    Workloads.Registry.all
+
 let () =
   Alcotest.run "codec_v2"
     [
@@ -245,6 +278,8 @@ let () =
           Alcotest.test_case "empty rank segment" `Quick
             test_empty_rank_segment;
           Alcotest.test_case "streaming file fold" `Quick test_fold_binary_file;
+          Alcotest.test_case "corpus verdicts across formats" `Quick
+            test_corpus_verdicts_across_formats;
         ] );
       ( "corruption",
         [

@@ -183,7 +183,7 @@ let prop_lattice_monotone =
       List.for_all
         (fun engine ->
           let verdicts =
-            V.Pipeline.verify_all_models ~engine ~models ~nranks records
+            V.Pipeline.verify_shared ~engine ~models ~nranks records
             |> List.map (fun ((m : V.Model.t), (o : V.Pipeline.outcome)) ->
                    ( m,
                      List.sort_uniq compare

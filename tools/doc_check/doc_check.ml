@@ -1,6 +1,6 @@
 (* doc_check — keep the prose honest.
 
-   Two classes of documentation rot this tool catches:
+   Three classes of documentation rot this tool catches:
 
    1. Dead relative links: a [text](path) markdown link in README.md,
       DESIGN.md or docs/*.md whose target file no longer exists
@@ -9,6 +9,11 @@
    2. Stale flag names: a `--flag` token mentioned in the docs that no
       longer matches any option actually declared in
       bin/verifyio_cli.ml (flags get renamed; prose doesn't).
+
+   3. Stale subcommands: a `verifyio <word>` inline-code mention, or a
+      `$ verifyio <word>` shell line, whose word is not a subcommand
+      registered in the `cmds` list of bin/verifyio_cli.ml (subcommands
+      get retired; prose doesn't).
 
    Run from anywhere with --root pointing at the workspace root. Exits
    non-zero with one line per problem; prints a one-line summary when
@@ -151,6 +156,48 @@ let check_flags flags md content =
    with Not_found -> ());
   !checked
 
+(* ---- 3. stale subcommands ---------------------------------------- *)
+
+(* Every subcommand the CLI registers: the first string literal after
+   each [cmd_of] inside the [let cmds = ... in] list of
+   bin/verifyio_cli.ml. *)
+let declared_commands cli_source =
+  let cmds = Hashtbl.create 16 in
+  (match Str.search_forward (Str.regexp_string "let cmds =") cli_source 0 with
+  | exception Not_found -> ()
+  | start ->
+      let stop =
+        try Str.search_forward (Str.regexp "^  in$") cli_source start
+        with Not_found -> String.length cli_source
+      in
+      let body = String.sub cli_source start (stop - start) in
+      let cmd_re = Str.regexp "cmd_of[^\"]*\"\\([^\"]*\\)\"" in
+      let pos = ref 0 in
+      try
+        while true do
+          pos := Str.search_forward cmd_re body !pos + 1;
+          Hashtbl.replace cmds (Str.matched_group 1 body) ()
+        done
+      with Not_found -> ());
+  cmds
+
+let command_re = Str.regexp "\\(`\\|\\$ \\)verifyio \\([a-z][a-z-]*\\)"
+
+let check_commands cmds md content =
+  let checked = ref 0 in
+  let pos = ref 0 in
+  (try
+     while true do
+       pos := Str.search_forward command_re content !pos + 1;
+       let name = Str.matched_group 2 content in
+       incr checked;
+       if not (Hashtbl.mem cmds name) then
+         fail "%s: stale subcommand `verifyio %s` — not registered in \
+               bin/verifyio_cli.ml" md name
+     done
+   with Not_found -> ());
+  !checked
+
 (* ---- driver ------------------------------------------------------- *)
 
 let () =
@@ -163,20 +210,26 @@ let () =
     fail "cannot find %s — wrong --root?" cli;
     exit 1
   end;
-  let flags = declared_flags (read_file cli) in
+  let cli_source = read_file cli in
+  let flags = declared_flags cli_source in
+  let cmds = declared_commands cli_source in
+  if Hashtbl.length cmds = 0 then
+    fail "no subcommands found in the cmds list of %s" cli;
   let mds = markdown_files !root in
   if mds = [] then fail "no markdown files found under %s" !root;
-  let links = ref 0 and mentions = ref 0 in
+  let links = ref 0 and mentions = ref 0 and commands = ref 0 in
   List.iter
     (fun md ->
       let content = read_file md in
       links := !links + check_links md content;
-      mentions := !mentions + check_flags flags md content)
+      mentions := !mentions + check_flags flags md content;
+      commands := !commands + check_commands cmds md content)
     mds;
   if !errors > 0 then begin
     Printf.eprintf "doc-check: %d problem(s)\n" !errors;
     exit 1
   end;
   Printf.printf
-    "doc-check: %d files, %d relative links, %d flag mentions — all good\n"
-    (List.length mds) !links !mentions
+    "doc-check: %d files, %d relative links, %d flag mentions, %d command \
+     mentions — all good\n"
+    (List.length mds) !links !mentions !commands
